@@ -143,6 +143,21 @@ mod tests {
         assert!(first < last);
     }
 
+    /// Parsing a corpus page's rendered text returns the very tree
+    /// `HtmlDoc::encode` built: the parser's borrowed-key lookups and
+    /// the encoder's `Tree::new` calls meet on the same canonical nodes.
+    #[test]
+    fn reparsed_corpus_page_is_the_encoded_tree() {
+        let ty = fast_trees::html_type();
+        let doc = &corpus(1)[0];
+        let encoded = doc.encode(&ty);
+        let text = encoded.display(&ty).to_string();
+        let parsed = Tree::parse(&ty, &text).unwrap();
+        assert_eq!(parsed.id(), encoded.id());
+        assert!(parsed.ptr_eq(&encoded));
+        assert_eq!(parsed.display(&ty).to_string(), text);
+    }
+
     #[test]
     fn fast_sanitizer_matches_baseline_on_corpus_sample() {
         let c = compile_fig2();

@@ -23,7 +23,7 @@
 
 #![warn(missing_docs)]
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Maximum container nesting [`Json::parse`] accepts. The parser is
 /// recursive-descent — one `value → array/object → value` cycle per
@@ -211,7 +211,8 @@ impl Json {
                 out.push_str("{\n");
                 for (i, (k, v)) in fs.iter().enumerate() {
                     out.push_str(&"  ".repeat(indent + 1));
-                    out.push_str(&format!("{}: ", Json::Str(k.clone())));
+                    write_str_literal(out, k).expect("writing to a String cannot fail");
+                    out.push_str(": ");
                     v.write_pretty(out, indent + 1);
                     if i + 1 < fs.len() {
                         out.push(',');
@@ -244,43 +245,57 @@ impl fmt::Display for Json {
                     write!(f, "null")
                 }
             }
-            Json::Str(s) => {
-                write!(f, "\"")?;
-                for c in s.chars() {
-                    match c {
-                        '"' => write!(f, "\\\"")?,
-                        '\\' => write!(f, "\\\\")?,
-                        '\n' => write!(f, "\\n")?,
-                        '\r' => write!(f, "\\r")?,
-                        '\t' => write!(f, "\\t")?,
-                        c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                        c => write!(f, "{c}")?,
-                    }
-                }
-                write!(f, "\"")
-            }
+            Json::Str(s) => write_str_literal(f, s),
             Json::Array(xs) => {
-                write!(f, "[")?;
+                f.write_char('[')?;
                 for (i, x) in xs.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        f.write_char(',')?;
                     }
-                    write!(f, "{x}")?;
+                    fmt::Display::fmt(x, f)?;
                 }
-                write!(f, "]")
+                f.write_char(']')
             }
             Json::Object(fields) => {
-                write!(f, "{{")?;
+                f.write_char('{')?;
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        f.write_char(',')?;
                     }
-                    write!(f, "{}:{v}", Json::Str(k.clone()))?;
+                    write_str_literal(f, k)?;
+                    f.write_char(':')?;
+                    fmt::Display::fmt(v, f)?;
                 }
-                write!(f, "}}")
+                f.write_char('}')
             }
         }
     }
+}
+
+/// Writes `s` as a JSON string literal. Only `"`, `\` and control
+/// characters need escapes, and all of them are ASCII, so the text
+/// between two of them is one run, written whole (a multi-byte char is
+/// never split: its bytes are all ≥ 0x80).
+fn write_str_literal(w: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    w.write_char('"')?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        w.write_str(&s[run..i])?;
+        match b {
+            b'"' => w.write_str("\\\"")?,
+            b'\\' => w.write_str("\\\\")?,
+            b'\n' => w.write_str("\\n")?,
+            b'\r' => w.write_str("\\r")?,
+            b'\t' => w.write_str("\\t")?,
+            _ => write!(w, "\\u{b:04x}")?,
+        }
+        run = i + 1;
+    }
+    w.write_str(&s[run..])?;
+    w.write_char('"')
 }
 
 struct Parser<'a> {
@@ -632,6 +647,35 @@ mod tests {
             let v = Json::parse(text).unwrap();
             assert_eq!(Json::parse(&v.to_string()).unwrap(), v, "{text}");
         }
+    }
+
+    /// The escaper's output, pinned byte for byte: only `"`, `\` and
+    /// C0 controls are escaped; DEL, U+2028 and astral chars pass raw.
+    #[test]
+    fn string_escapes_are_pinned() {
+        let cases = [
+            ("", r#""""#),
+            ("plain", r#""plain""#),
+            ("a\"b", r#""a\"b""#),
+            ("a\\b", r#""a\\b""#),
+            ("\n\r\t", r#""\n\r\t""#),
+            (
+                "\0\u{1}\u{8}\u{c}\u{1f}",
+                r#""\u0000\u0001\u0008\u000c\u001f""#,
+            ),
+            ("\u{7f} \u{2028}\u{2029}", "\"\u{7f} \u{2028}\u{2029}\""),
+            ("é😀\u{10ffff}", "\"é😀\u{10ffff}\""),
+            ("\"\"\\", r#""\"\"\\""#),
+            ("x\u{1}é\n", r#""x\u0001é\n""#),
+        ];
+        for (raw, encoded) in cases {
+            assert_eq!(Json::Str(raw.into()).to_string(), encoded, "{raw:?}");
+            assert_eq!(Json::parse(encoded).unwrap(), Json::Str(raw.into()));
+        }
+        // Object keys take the same escaper, in compact and pretty form.
+        let obj = Json::obj([("k\"\u{1}", Json::Int(1))]);
+        assert_eq!(obj.to_string(), r#"{"k\"\u0001":1}"#);
+        assert_eq!(obj.pretty(), "{\n  \"k\\\"\\u0001\": 1\n}");
     }
 
     #[test]

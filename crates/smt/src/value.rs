@@ -96,14 +96,37 @@ impl From<char> for Value {
     }
 }
 
+impl Value {
+    /// Writes the value as its `Display` text into any [`fmt::Write`]
+    /// sink (generic, so a `String` sink is written without dynamic
+    /// calls). Strings and chars read exactly as Rust's `{:?}` renders
+    /// them, which the s-expression tree syntax reads back; printable
+    /// ASCII without quotes or backslashes — nearly every label — needs
+    /// no escaping and is copied straight through.
+    pub fn write_to(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        let plain = |b: u8, quote: u8| (b' '..=b'~').contains(&b) && b != quote && b != b'\\';
+        match self {
+            Value::Bool(b) => w.write_str(if *b { "true" } else { "false" }),
+            Value::Int(n) => write!(w, "{n}"),
+            Value::Str(s) if s.bytes().all(|b| plain(b, b'"')) => {
+                w.write_char('"')?;
+                w.write_str(s)?;
+                w.write_char('"')
+            }
+            Value::Str(s) => write!(w, "{s:?}"),
+            Value::Char(c) if c.is_ascii() && plain(*c as u8, b'\'') => {
+                w.write_char('\'')?;
+                w.write_char(*c)?;
+                w.write_char('\'')
+            }
+            Value::Char(c) => write!(w, "{c:?}"),
+        }
+    }
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Int(n) => write!(f, "{n}"),
-            Value::Str(s) => write!(f, "{s:?}"),
-            Value::Char(c) => write!(f, "{c:?}"),
-        }
+        self.write_to(f)
     }
 }
 
@@ -168,6 +191,19 @@ impl Label {
                 .all(|(i, v)| v.sort() == sig.sort(i))
     }
 
+    /// Writes the label as its `Display` text, `[v, …]`, into any
+    /// [`fmt::Write`] sink (see [`Value::write_to`]).
+    pub fn write_to(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        w.write_char('[')?;
+        for (i, v) in self.values.iter().enumerate() {
+            if i > 0 {
+                w.write_str(", ")?;
+            }
+            v.write_to(w)?;
+        }
+        w.write_char(']')
+    }
+
     /// A default (all-zero) label conforming to `sig`.
     pub fn default_of(sig: &LabelSig) -> Label {
         Label {
@@ -182,14 +218,7 @@ impl Label {
 
 impl fmt::Display for Label {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[")?;
-        for (i, v) in self.values.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{v}")?;
-        }
-        write!(f, "]")
+        self.write_to(f)
     }
 }
 
@@ -211,6 +240,35 @@ mod tests {
     fn display() {
         let l = Label::new(vec![Value::Int(-2), Value::Bool(true), Value::Char('x')]);
         assert_eq!(l.to_string(), "[-2, true, 'x']");
+    }
+
+    /// Strings and chars render byte for byte as `{:?}`, on both sides
+    /// of the unescaped fast path.
+    #[test]
+    fn display_matches_debug() {
+        let strs = [
+            "",
+            "plain text",
+            "a\"b",
+            "a\\b",
+            "it's",
+            "\n\r\t\0",
+            "\u{7f}",
+            "é",
+            "e\u{301}",
+            "\u{a0}",
+            "\u{2028}",
+            "😀",
+            "~ !",
+        ];
+        for s in strs {
+            assert_eq!(Value::Str(s.into()).to_string(), format!("{s:?}"));
+        }
+        for c in [
+            'a', ' ', '~', '\'', '"', '\\', '\n', '\0', '\u{7f}', '\u{301}', 'é', '😀',
+        ] {
+            assert_eq!(Value::Char(c).to_string(), format!("{c:?}"));
+        }
     }
 
     #[test]

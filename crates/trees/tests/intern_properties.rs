@@ -26,8 +26,12 @@ fn mixed_type() -> Arc<TreeType> {
     )
 }
 
+/// Strings over quotes, backslashes, control characters, a combining
+/// mark and non-ASCII: every escape path of the renderer and parser.
+const TEXT: &str = "[a-z\"'\\\\\u{0}\t\n\r\u{7f}\u{301}\u{a0}\u{2028}é😀]{0,5}";
+
 fn label() -> impl Strategy<Value = Label> {
-    (-1000i64..1000, "[a-z\"\\\\]{0,5}", any::<bool>())
+    (-1000i64..1000, TEXT, any::<bool>())
         .prop_map(|(n, s, b)| Label::new(vec![Value::Int(n), Value::Str(s), Value::Bool(b)]))
 }
 
@@ -46,8 +50,93 @@ fn tree() -> impl Strategy<Value = Tree> {
     })
 }
 
+/// A tree's structure, not yet interned, so that either the parser or
+/// `Tree::new` can be the first to build it.
+#[derive(Debug)]
+struct Shape {
+    ctor: &'static str,
+    label: Label,
+    kids: Vec<Shape>,
+}
+
+impl Shape {
+    fn build(&self, ty: &TreeType) -> Tree {
+        let kids = self.kids.iter().map(|k| k.build(ty)).collect();
+        Tree::new(ty.ctor_id(self.ctor).unwrap(), self.label.clone(), kids)
+    }
+
+    /// The `Tree::display` text, written out from the shape.
+    fn render(&self) -> String {
+        let kids: Vec<String> = self.kids.iter().map(Shape::render).collect();
+        let kids = if kids.is_empty() {
+            String::new()
+        } else {
+            format!("({})", kids.join(", "))
+        };
+        format!("{}{}{kids}", self.ctor, self.label)
+    }
+
+    /// The same shape with `n` as every node's integer field.
+    fn with_n(&self, n: i64) -> Shape {
+        let mut values = self.label.values().to_vec();
+        values[0] = Value::Int(n);
+        Shape {
+            ctor: self.ctor,
+            label: Label::new(values),
+            kids: self.kids.iter().map(|k| k.with_n(n)).collect(),
+        }
+    }
+}
+
+fn shape() -> impl Strategy<Value = Shape> {
+    let leaf = label().prop_map(|label| Shape {
+        ctor: "z",
+        label,
+        kids: vec![],
+    });
+    leaf.prop_recursive(5, 40, 2, |inner| {
+        prop_oneof![
+            (label(), inner.clone()).prop_map(|(label, c)| Shape {
+                ctor: "u",
+                label,
+                kids: vec![c],
+            }),
+            (label(), inner.clone(), inner).prop_map(|(label, a, b)| Shape {
+                ctor: "p",
+                label,
+                kids: vec![a, b],
+            }),
+        ]
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `Tree::parse` of the rendered text is the node `Tree::new`
+    /// builds, whichever of the two interns the structure first. An
+    /// integer field outside the generator's range, set on every node,
+    /// makes each case's nodes new to the table, so both orders run in
+    /// full.
+    #[test]
+    fn parser_and_builder_meet_whichever_goes_first(
+        (s, n) in (shape(), 1_000_000i64..i64::MAX),
+    ) {
+        let ty = mixed_type();
+        // Built first, parsed second.
+        let first = s.with_n(n);
+        let built = first.build(&ty);
+        let parsed = Tree::parse(&ty, &first.render()).unwrap();
+        prop_assert!(parsed.ptr_eq(&built));
+        // Parsed first, built second.
+        let second = s.with_n(-n);
+        let text = second.render();
+        let parsed = Tree::parse(&ty, &text).unwrap();
+        let built = second.build(&ty);
+        prop_assert!(parsed.ptr_eq(&built));
+        prop_assert_eq!(parsed.id(), built.id());
+        prop_assert_eq!(built.display(&ty).to_string(), text);
+    }
 
     /// Parsing the printed form rebuilds the tree node by node through
     /// a completely different code path — yet every subtree must land

@@ -13,14 +13,39 @@ fn mixed_type() -> Arc<TreeType> {
             ("n".into(), Sort::Int),
             ("s".into(), Sort::Str),
             ("b".into(), Sort::Bool),
+            ("c".into(), Sort::Char),
         ]),
         vec![("z", 0), ("u", 1), ("p", 2)],
     )
 }
 
+/// A character class of what rendering must take care with: quotes and
+/// backslashes, control characters (`{:?}` writes `\n`, `\r`, `\t`,
+/// `\0` or `\u{…}`), a combining mark, non-ASCII whitespace and a
+/// format character (U+00A0, U+2028, U+FEFF), and printable non-ASCII
+/// that passes raw.
+macro_rules! tricky {
+    () => {
+        "[a-z \"'\\\\\u{0}\u{1}\u{7}\t\n\r\u{1b}\u{7f}\u{301}\u{a0}\u{2028}\u{feff}é😀]"
+    };
+}
+
 fn label() -> impl Strategy<Value = Label> {
-    (-1000i64..1000, "[a-z\"\\\\]{0,5}", any::<bool>())
-        .prop_map(|(n, s, b)| Label::new(vec![Value::Int(n), Value::Str(s), Value::Bool(b)]))
+    let one_char = tricky!().prop_map(|c| c.chars().next().unwrap());
+    (
+        -1000i64..1000,
+        concat!(tricky!(), "{0,6}"),
+        any::<bool>(),
+        one_char,
+    )
+        .prop_map(|(n, s, b, c)| {
+            Label::new(vec![
+                Value::Int(n),
+                Value::Str(s),
+                Value::Bool(b),
+                Value::Char(c),
+            ])
+        })
 }
 
 fn tree() -> impl Strategy<Value = Tree> {
@@ -63,7 +88,8 @@ fn html_elem() -> impl Strategy<Value = HtmlElem> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Display → parse is the identity on trees (all label sorts).
+    /// Display → parse is the identity on trees (all label sorts, and
+    /// every escape the renderer emits).
     #[test]
     fn sexpr_round_trip(t in tree()) {
         let ty = mixed_type();

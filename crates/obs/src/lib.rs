@@ -105,9 +105,9 @@
 //! | `intern.resident_nodes.shard00`..`shard15` | canonical tree nodes resident per interner shard (the table never evicts) |
 //! | `intern.resident_bytes` | estimated heap bytes held by the tree interner, all shards |
 //! | `rt.memo.entries` | entries resident across every live batch-memo result table |
-//! | `rt.memo.bytes` | estimated heap bytes held by those result tables |
+//! | `rt.memo.bytes` | estimated bytes held by those result tables: per entry the key and the inline output set, plus the shared slice of a set of two or more trees (the trees themselves are counted by the interner) |
 //! | `rt.la.entries` | entries resident across every live lookahead cache |
-//! | `rt.la.bytes` | estimated heap bytes held by those lookahead caches |
+//! | `rt.la.bytes` | estimated bytes held by those lookahead caches: per entry the key and the inline state bitset, plus any words spilled past lookahead state 63 |
 //! | `smt.cache.entries` | satisfiability results resident across every live solver cache |
 //! | `serve.connections` | live client connections held by a `fast-serve` server |
 //!

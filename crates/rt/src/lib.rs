@@ -39,6 +39,7 @@ mod pipeline;
 mod plan;
 mod pool;
 mod profile;
+mod sets;
 
 pub use artifact::{Artifact, ArtifactBuilder, ArtifactError, MAGIC, VERSION};
 pub use pipeline::{BoundaryDecision, FusionStrategy, Pipeline, PipelineOptions, PipelineReport};

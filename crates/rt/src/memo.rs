@@ -8,9 +8,16 @@
 //! generator: structurally equal trees intern to the same id):
 //!
 //! * the **result memo** maps `(transformation state, TreeId)` to the
-//!   finished output set of that sub-transduction;
+//!   finished output set of that sub-transduction, an `OutSet`: empty,
+//!   one tree held inline, or a shared slice of two or more;
 //! * the **lookahead cache** maps `TreeId` to the set of lookahead-STA
-//!   states accepting that subtree.
+//!   states accepting that subtree, a `StateSet` bitset stored by value
+//!   (inline up to 64 states).
+//!
+//! Both value types live in `sets.rs`. Cloning either out of a shard is
+//! a reference-count bump or a word copy, so a lookup allocates nothing
+//! in the common case, and dropping a table frees no per-entry heap
+//! block beyond the rare multi-tree slice or spilled bitset.
 //!
 //! Ids are never reused (the interner is append-only and owns every
 //! canonical node), so a memo may outlive one batch

@@ -361,6 +361,8 @@ impl Pipeline {
     /// are dropped as soon as the next segment has consumed them; the
     /// per-segment memos ([`BatchMemo`]) stay alive for the whole call,
     /// which is safe because entries key on never-reused `TreeId`s.
+    /// With [`RunOptions::memo`] off no segment shares results: each
+    /// item keeps a private memo, as in [`Plan::run_batch_with`].
     pub fn run_batch_with(
         &self,
         items: &[Tree],
@@ -373,12 +375,16 @@ impl Pipeline {
             let stage_hist = *STAGE_HIST.get_or_init(|| fast_obs::histogram("rt.pipeline.stage"));
             // Per-segment memos live for the entire run: later segments
             // reuse sub-transductions across the frontiers of every
-            // earlier batch item.
-            let memos: Vec<BatchMemo> = self
-                .segments
-                .iter()
-                .map(|_| BatchMemo::new(opts.memo_capacity))
-                .collect();
+            // earlier batch item. With the memo off there are none, and
+            // each segment pass runs like `Plan::run_batch_with`.
+            let memos: Vec<BatchMemo> = if opts.memo {
+                self.segments
+                    .iter()
+                    .map(|_| BatchMemo::new(opts.memo_capacity))
+                    .collect()
+            } else {
+                Vec::new()
+            };
             let mut frontiers: Vec<Result<Vec<Tree>, TransducerError>> =
                 items.iter().map(|t| Ok(vec![t.clone()])).collect();
             let mut seg_stats = Vec::with_capacity(self.segments.len());
@@ -397,7 +403,10 @@ impl Pipeline {
                         }
                     }
                 }
-                let (results, stats) = seg.plan.run_batch_shared(&flat, opts, &memos[si]);
+                let (results, stats) = match memos.get(si) {
+                    Some(memo) => seg.plan.run_batch_shared(&flat, opts, memo),
+                    None => seg.plan.run_batch_with(&flat, opts),
+                };
                 seg_stats.push(stats);
                 // Fold each tree's outputs back into its item's next
                 // frontier (deduplicated — output sets, like `Sttr::run`).

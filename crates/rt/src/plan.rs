@@ -3,11 +3,12 @@
 use crate::memo::{CacheStats, Sharded};
 use crate::pool::{self, PoolStats};
 use crate::profile::{self, ProfileData, RuleProfile, RuleProfileEntry};
+use crate::sets::{OutSet, StateSet};
 use fast_automata::StateId;
 use fast_core::{Out, Sttr, TransducerError, DEFAULT_RUN_CAP};
 use fast_smt::bin::FormulaPool;
 use fast_smt::{BoolAlg, Formula, Interned, TransAlg};
-use fast_trees::{Tree, TreeId};
+use fast_trees::{CtorId, Tree, TreeId};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -26,6 +27,9 @@ pub(crate) struct CRule {
     pub(crate) trivial_guard: bool,
     /// At least one child carries a non-empty lookahead set.
     pub(crate) needs_la: bool,
+    /// Index of the first of the rule's per-child lookahead masks in
+    /// [`Plan::la_masks`].
+    pub(crate) la: u32,
 }
 
 /// A lookahead-STA rule reference, pre-indexed by constructor.
@@ -36,6 +40,9 @@ pub(crate) struct LaRule {
     /// Index of the guard in [`Plan::guard_pool`].
     pub(crate) guard: u32,
     pub(crate) trivial_guard: bool,
+    /// Index of the first of the rule's per-child lookahead masks in
+    /// [`Plan::la_masks`].
+    pub(crate) la: u32,
 }
 
 /// Options controlling one batch run.
@@ -128,10 +135,11 @@ impl BatchStats {
 /// aliased by a later tree. Structurally equal trees share an id, so
 /// the memo also hits across *independently built* inputs, not just
 /// `Arc`-shared clones.
-type OutMemo = Sharded<(usize, TreeId), Arc<Vec<Tree>>>;
+type OutMemo = Sharded<(usize, TreeId), OutSet>;
 
-/// Lookahead cache: `TreeId → accepting lookahead states`.
-type LaMemo = Sharded<TreeId, Arc<BTreeSet<StateId>>>;
+/// Lookahead cache: `TreeId → accepting lookahead states`, stored by
+/// value.
+type LaMemo = Sharded<TreeId, StateSet>;
 
 /// A result memo reporting residency into the process-wide
 /// `rt.memo.entries` / `rt.memo.bytes` gauges. Every live table (one
@@ -144,13 +152,11 @@ fn out_memo(capacity: usize) -> OutMemo {
         crate::memo::ResidencyGauges {
             entries: fast_obs::gauge("rt.memo.entries"),
             bytes: fast_obs::gauge("rt.memo.bytes"),
-            // Estimate: the key, the Arc's control+vec blocks, and one
-            // interned handle per output tree (the trees themselves are
+            // Estimate: the key and the inline set, plus the shared
+            // slice of a set of two or more (the trees themselves are
             // owned by the interner and counted there).
             weigh: |k, v| {
-                (std::mem::size_of_val(k)
-                    + std::mem::size_of::<Arc<Vec<Tree>>>()
-                    + v.len() * std::mem::size_of::<Tree>()) as u64
+                (std::mem::size_of_val(k) + std::mem::size_of_val(v) + v.heap_bytes()) as u64
             },
         },
     )
@@ -163,10 +169,10 @@ fn la_memo(capacity: usize) -> LaMemo {
         crate::memo::ResidencyGauges {
             entries: fast_obs::gauge("rt.la.entries"),
             bytes: fast_obs::gauge("rt.la.bytes"),
+            // Estimate: the key and the inline bitset, plus any words
+            // spilled past state 63.
             weigh: |k, v| {
-                (std::mem::size_of_val(k)
-                    + std::mem::size_of::<Arc<BTreeSet<StateId>>>()
-                    + v.len() * std::mem::size_of::<StateId>()) as u64
+                (std::mem::size_of_val(k) + std::mem::size_of_val(v) + v.heap_bytes()) as u64
             },
         },
     )
@@ -228,11 +234,6 @@ struct BatchCtx<'p> {
     profile: Option<ProfileData>,
 }
 
-fn empty_states() -> &'static Arc<BTreeSet<StateId>> {
-    static EMPTY: OnceLock<Arc<BTreeSet<StateId>>> = OnceLock::new();
-    EMPTY.get_or_init(|| Arc::new(BTreeSet::new()))
-}
-
 /// One item's evaluation state: deadline bookkeeping plus the private
 /// fallback memo used when the shared table is disabled (mirroring the
 /// per-run memo of [`Sttr::run`], which guards against re-evaluating
@@ -242,7 +243,7 @@ struct ItemRun<'b, 'p> {
     deadline: Option<Instant>,
     timeout_ms: u64,
     ticks: u32,
-    local_memo: HashMap<(usize, TreeId), Arc<Vec<Tree>>>,
+    local_memo: HashMap<(usize, TreeId), OutSet>,
 }
 
 /// A compiled evaluation plan for one [`Sttr`].
@@ -307,7 +308,10 @@ pub struct Plan {
     /// Distinct guard formulas, referenced by `CRule::guard` /
     /// `LaRule::guard` pool indices (deduplicated by interned identity).
     guard_pool: Vec<Interned<Formula>>,
-    la_state_count: usize,
+    /// Every rule's per-child lookahead requirements as bitsets, one
+    /// per child, starting at `CRule::la` / `LaRule::la` (an empty mask
+    /// leaves its child unconstrained).
+    la_masks: Vec<StateSet>,
     /// Prefix sums of per-state rule counts: the flat profile index of
     /// `(state q, rule idx)` is `rule_offsets[q.0] + idx`.
     rule_offsets: Vec<usize>,
@@ -324,6 +328,7 @@ impl Plan {
         let n_ctors = sttr.ty().ctor_count();
         let n_states = sttr.state_count();
         let mut pool = FormulaPool::new();
+        let mut la_masks = Vec::new();
         let mut buckets: Vec<Vec<CRule>> = vec![Vec::new(); n_states * n_ctors];
         for q in sttr.states() {
             for (idx, r) in sttr.rules(q).iter().enumerate() {
@@ -332,6 +337,7 @@ impl Plan {
                     guard: pool.index_of(&r.guard),
                     trivial_guard: r.guard == tt,
                     needs_la: r.lookahead.iter().any(|s| !s.is_empty()),
+                    la: push_masks(&mut la_masks, &r.lookahead),
                 });
             }
         }
@@ -355,6 +361,7 @@ impl Plan {
                     idx: idx as u32,
                     guard: pool.index_of(&r.guard),
                     trivial_guard: r.guard == tt,
+                    la: push_masks(&mut la_masks, &r.lookahead),
                 });
             }
         }
@@ -366,7 +373,6 @@ impl Plan {
             la_groups.extend(group);
             la_group_offsets.push(la_groups.len() as u32);
         }
-        let la_state_count = la.state_count();
         let mut rule_offsets = Vec::with_capacity(n_states);
         let mut total_rules = 0;
         for q in sttr.states() {
@@ -381,7 +387,7 @@ impl Plan {
             la_group_offsets,
             la_groups,
             guard_pool: pool.items().to_vec(),
-            la_state_count,
+            la_masks,
             rule_offsets,
             total_rules,
         }
@@ -403,6 +409,7 @@ impl Plan {
         let tt = sttr.alg().tt();
         let n_ctors = sttr.ty().ctor_count();
         let mut pool = FormulaPool::new();
+        let mut la_masks = Vec::new();
         let mut groups = Vec::with_capacity(group_idxs.len());
         for base in 0..group_offsets.len() - 1 {
             let q = StateId(base / n_ctors);
@@ -414,6 +421,7 @@ impl Plan {
                     guard: pool.index_of(&r.guard),
                     trivial_guard: r.guard == tt,
                     needs_la: r.lookahead.iter().any(|s| !s.is_empty()),
+                    la: push_masks(&mut la_masks, &r.lookahead),
                 });
             }
         }
@@ -426,9 +434,9 @@ impl Plan {
                 idx,
                 guard: pool.index_of(&r.guard),
                 trivial_guard: r.guard == tt,
+                la: push_masks(&mut la_masks, &r.lookahead),
             });
         }
-        let la_state_count = la.state_count();
         let mut rule_offsets = Vec::with_capacity(sttr.state_count());
         let mut total_rules = 0;
         for q in sttr.states() {
@@ -443,7 +451,7 @@ impl Plan {
             la_group_offsets,
             la_groups,
             guard_pool: pool.items().to_vec(),
-            la_state_count,
+            la_masks,
             rule_offsets,
             total_rules,
         }
@@ -467,6 +475,14 @@ impl Plan {
     #[inline]
     fn guard(&self, id: u32) -> &Interned<Formula> {
         &self.guard_pool[id as usize]
+    }
+
+    /// The per-child lookahead masks of a rule reading `ctor`, from its
+    /// `la` index (one per child: rule arity equals constructor rank).
+    #[inline]
+    fn masks(&self, la: u32, ctor: CtorId) -> &[StateSet] {
+        let la = la as usize;
+        &self.la_masks[la..la + self.sttr.ty().rank(ctor)]
     }
 
     /// Flat-table views for the artifact encoder.
@@ -716,6 +732,14 @@ impl Plan {
     }
 }
 
+/// Appends one lookahead mask per child to `masks`, returning the index
+/// of the first.
+fn push_masks(masks: &mut Vec<StateSet>, lookahead: &[BTreeSet<StateId>]) -> u32 {
+    let first = masks.len() as u32;
+    masks.extend(lookahead.iter().map(StateSet::of));
+    first
+}
+
 /// Worker loop of [`Plan::run_stream`]: scoped workers claim items from
 /// an atomic cursor and send results as soon as they are ready.
 ///
@@ -819,7 +843,7 @@ fn run_item(cx: &BatchCtx<'_>, t: &Tree) -> Result<Vec<Tree>, TransducerError> {
             latency_ns: ns,
             output_size: out.as_ref().map(|o| o.len() as u64).unwrap_or(0),
         });
-    Ok(out?.as_ref().clone())
+    Ok(out?.into_vec())
 }
 
 /// Fills the slot of an item whose evaluation panicked (the pool caught
@@ -881,14 +905,14 @@ impl<'b, 'p> ItemRun<'b, 'p> {
         Ok(())
     }
 
-    fn memo_get(&mut self, key: &(usize, TreeId)) -> Option<Arc<Vec<Tree>>> {
+    fn memo_get(&mut self, key: &(usize, TreeId)) -> Option<OutSet> {
         match &self.cx.memo {
             Some(shared) => shared.get(key, &self.cx.memo_stats),
             None => self.local_memo.get(key).cloned(),
         }
     }
 
-    fn memo_put(&mut self, key: (usize, TreeId), value: Arc<Vec<Tree>>) {
+    fn memo_put(&mut self, key: (usize, TreeId), value: OutSet) {
         match &self.cx.memo {
             Some(shared) => shared.insert(key, value, &self.cx.memo_stats),
             None => {
@@ -898,60 +922,55 @@ impl<'b, 'p> ItemRun<'b, 'p> {
     }
 
     /// The set of lookahead-STA states accepting `t`, from the shared
-    /// cache, computing (and caching) missing subtrees iteratively.
-    fn la_states(&mut self, t: &Tree) -> Result<Arc<BTreeSet<StateId>>, TransducerError> {
-        if self.cx.plan.la_state_count == 0 {
-            return Ok(empty_states().clone());
-        }
-        if let Some(s) = self.cx.la.get(&t.id(), &self.cx.la_stats) {
+    /// cache, computing (and caching) missing subtrees bottom-up.
+    ///
+    /// The post-order runs on two explicit stacks, so deep documents do
+    /// not overflow: `frames` holds the path from `t` to the current
+    /// node with the index of the next child to visit, and `vals` the
+    /// finished state sets of the children visited so far — a node's
+    /// children's sets are the top `rank` values when it completes.
+    /// Subtrees already in the shared cache are pushed as values without
+    /// being descended into.
+    fn la_states(&mut self, t: &Tree) -> Result<StateSet, TransducerError> {
+        let cx = self.cx;
+        if let Some(s) = cx.la.get(&t.id(), &cx.la_stats) {
             return Ok(s);
         }
-        // Explicit post-order stack (deep documents must not overflow),
-        // skipping every subtree already in the shared cache.
-        let plan = self.cx.plan;
-        let la = plan.sttr.lookahead_sta();
+        let plan = cx.plan;
         let alg = plan.sttr.alg();
-        let mut stack: Vec<(&Tree, bool)> = vec![(t, false)];
-        let mut computed: HashMap<TreeId, Arc<BTreeSet<StateId>>> = HashMap::new();
-        while let Some((node, expanded)) = stack.pop() {
+        let mut frames: Vec<(&Tree, usize)> = vec![(t, 0)];
+        let mut vals: Vec<StateSet> = Vec::new();
+        while let Some((node, next)) = frames.last_mut() {
+            let node: &Tree = node;
+            if let Some(c) = node.children().get(*next) {
+                *next += 1;
+                match cx.la.get(&c.id(), &cx.la_stats) {
+                    Some(s) => vals.push(s),
+                    None => frames.push((c, 0)),
+                }
+                continue;
+            }
+            frames.pop();
             self.tick()?;
-            if computed.contains_key(&node.id()) {
-                continue;
-            }
-            if !expanded {
-                // Only probe the shared cache on first visit.
-                if let Some(s) = self.cx.la.get(&node.id(), &self.cx.la_stats) {
-                    computed.insert(node.id(), s);
-                    continue;
-                }
-                stack.push((node, true));
-                for c in node.children() {
-                    stack.push((c, false));
-                }
-                continue;
-            }
-            let mut accept = BTreeSet::new();
+            let kids = &vals[vals.len() - node.children().len()..];
+            let mut accept = StateSet::default();
             for lr in plan.la_group(node.ctor().0) {
-                let state = StateId(lr.state as usize);
-                if accept.contains(&state) {
+                let state = lr.state as usize;
+                if accept.contains(state)
+                    || !lr.trivial_guard && !alg.eval(plan.guard(lr.guard), node.label())
+                {
                     continue;
                 }
-                let r = &la.rules(state)[lr.idx as usize];
-                if !lr.trivial_guard && !alg.eval(plan.guard(lr.guard), node.label()) {
-                    continue;
-                }
-                let ok = r.lookahead.iter().enumerate().all(|(i, set)| {
-                    set.is_empty() || set.is_subset(&computed[&node.child(i).id()])
-                });
-                if ok {
+                let masks = plan.masks(lr.la, node.ctor());
+                if masks.iter().zip(kids).all(|(m, k)| m.is_subset(k)) {
                     accept.insert(state);
                 }
             }
-            let rc = Arc::new(accept);
-            self.cx.la.insert(node.id(), rc.clone(), &self.cx.la_stats);
-            computed.insert(node.id(), rc);
+            vals.truncate(vals.len() - node.children().len());
+            cx.la.insert(node.id(), accept.clone(), &cx.la_stats);
+            vals.push(accept);
         }
-        Ok(computed.remove(&t.id()).expect("root computed"))
+        Ok(vals.pop().expect("the root's set is the last value"))
     }
 
     /// `T_q(t)` under the plan's dispatch tables (Definition 7), memoized
@@ -959,7 +978,11 @@ impl<'b, 'p> ItemRun<'b, 'p> {
     /// tree interner. With [`RunOptions::profile`] set, the loop
     /// charges guard evaluations, firings, and inclusive time to each
     /// dispatched rule and memo hits to the state.
-    fn transduce(&mut self, q: StateId, t: &Tree) -> Result<Arc<Vec<Tree>>, TransducerError> {
+    ///
+    /// While at most one enabled rule yields anything, its output set is
+    /// kept as is; a second non-empty contribution spills both into a
+    /// vector that is deduplicated at the end.
+    fn transduce(&mut self, q: StateId, t: &Tree) -> Result<OutSet, TransducerError> {
         self.tick()?;
         let profile = self.cx.profile.as_ref();
         let key = (q.0, t.id());
@@ -972,7 +995,8 @@ impl<'b, 'p> ItemRun<'b, 'p> {
         let plan = self.cx.plan;
         let alg = plan.sttr.alg();
         let rules = plan.sttr.rules(q);
-        let mut out: Vec<Tree> = Vec::new();
+        let mut out = OutSet::Empty;
+        let mut spill: Vec<Tree> = Vec::new();
         for cr in plan.group(q.0, t.ctor().0) {
             let r = &rules[cr.idx as usize];
             let prof_idx = plan.rule_offsets[q.0] + cr.idx as usize;
@@ -991,97 +1015,123 @@ impl<'b, 'p> ItemRun<'b, 'p> {
                     continue;
                 }
             }
-            if cr.needs_la {
-                let mut ok = true;
-                for (i, set) in r.lookahead.iter().enumerate() {
-                    if set.is_empty() {
-                        continue;
-                    }
-                    let child_states = self.la_states(t.child(i))?;
-                    if !set.is_subset(&child_states) {
-                        ok = false;
-                        break;
-                    }
-                }
-                if !ok {
-                    charge();
-                    continue;
+            if cr.needs_la && !self.lookahead_holds(plan.masks(cr.la, t.ctor()), t)? {
+                charge();
+                continue;
+            }
+            let o = self.eval_out(&r.output, t)?;
+            if !o.is_empty() {
+                if out.is_empty() && spill.is_empty() {
+                    out = o;
+                } else {
+                    spill.extend_from_slice(std::mem::take(&mut out).as_slice());
+                    spill.extend_from_slice(o.as_slice());
                 }
             }
-            out.extend(self.eval_out(&r.output, t)?);
             if let Some(p) = profile {
                 p.fired[prof_idx].fetch_add(1, Ordering::Relaxed);
             }
             charge();
-            if out.len() > self.cx.cap {
+            if out.len() + spill.len() > self.cx.cap {
                 return Err(TransducerError::Budget {
                     context: "run",
                     limit: self.cx.cap,
                 });
             }
         }
-        if out.len() > 1 {
-            let set: BTreeSet<Tree> = out.into_iter().collect();
-            out = set.into_iter().collect();
+        if !spill.is_empty() {
+            out = OutSet::from_vec(spill);
         }
-        let rc = Arc::new(out);
-        self.memo_put(key, rc.clone());
-        Ok(rc)
+        self.memo_put(key, out.clone());
+        Ok(out)
+    }
+
+    /// Whether every child of `t` is in the language its mask requires.
+    fn lookahead_holds(&mut self, masks: &[StateSet], t: &Tree) -> Result<bool, TransducerError> {
+        for (m, c) in masks.iter().zip(t.children()) {
+            if !m.is_empty() && !m.is_subset(&self.la_states(c)?) {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 
     fn eval_out(
         &mut self,
         out: &Out<fast_smt::LabelAlg>,
         t: &Tree,
-    ) -> Result<Vec<Tree>, TransducerError> {
+    ) -> Result<OutSet, TransducerError> {
         let plan = self.cx.plan;
         let alg = plan.sttr.alg();
         match out {
-            Out::Call(q, i) => Ok(self.transduce(*q, t.child(*i))?.as_ref().clone()),
+            Out::Call(q, i) => self.transduce(*q, t.child(*i)),
             Out::Node {
                 ctor,
                 fun,
                 children,
             } => {
                 let Some(label) = alg.apply_fun(fun, t.label()) else {
-                    return Ok(Vec::new());
+                    return Ok(OutSet::Empty);
                 };
-                let mut per_child: Vec<Vec<Tree>> = Vec::with_capacity(children.len());
-                for c in children {
-                    per_child.push(self.eval_out(c, t)?);
-                }
-                if per_child.iter().all(|v| v.len() == 1) {
-                    let kids = per_child
-                        .into_iter()
-                        .map(|mut v| v.pop().unwrap())
-                        .collect();
-                    return Ok(vec![Tree::new(*ctor, label, kids)]);
-                }
-                // Cartesian product over child alternatives, bounded by
-                // the batch cap exactly like `Sttr::run_bounded`.
-                let mut acc: Vec<Vec<Tree>> = vec![Vec::with_capacity(children.len())];
-                for opts in &per_child {
-                    let mut next = Vec::with_capacity(acc.len() * opts.len().max(1));
-                    for partial in &acc {
-                        for o in opts {
-                            let mut p = partial.clone();
-                            p.push(o.clone());
-                            next.push(p);
-                            if next.len() > self.cx.cap {
-                                return Err(TransducerError::Budget {
-                                    context: "run",
-                                    limit: self.cx.cap,
-                                });
-                            }
+                // Common case: every child yields exactly one tree, so
+                // the node is exactly one `Tree::new`.
+                let mut kids: Vec<Tree> = Vec::with_capacity(children.len());
+                for (k, c) in children.iter().enumerate() {
+                    match self.eval_out(c, t)? {
+                        OutSet::One(tree) => kids.push(tree),
+                        other => {
+                            return self.product(*ctor, label, kids, other, &children[k + 1..], t)
                         }
                     }
-                    acc = next;
                 }
-                Ok(acc
-                    .into_iter()
-                    .map(|kids| Tree::new(*ctor, label.clone(), kids))
-                    .collect())
+                Ok(OutSet::One(Tree::new(*ctor, label, kids)))
             }
         }
+    }
+
+    /// The rest of an `Out::Node` once a child yielded other than one
+    /// tree: `singles` are the children before it, `first` its set and
+    /// `rest` the children after it. Every child is still evaluated (an
+    /// error in a later child surfaces even when the product is empty),
+    /// and the Cartesian product over child alternatives is bounded by
+    /// the batch cap exactly like `Sttr::run_bounded`.
+    fn product(
+        &mut self,
+        ctor: CtorId,
+        label: fast_smt::Label,
+        singles: Vec<Tree>,
+        first: OutSet,
+        rest: &[Out<fast_smt::LabelAlg>],
+        t: &Tree,
+    ) -> Result<OutSet, TransducerError> {
+        let mut per_child: Vec<OutSet> = singles.into_iter().map(OutSet::One).collect();
+        per_child.push(first);
+        for c in rest {
+            per_child.push(self.eval_out(c, t)?);
+        }
+        let mut acc: Vec<Vec<Tree>> = vec![Vec::with_capacity(per_child.len())];
+        for opts in &per_child {
+            let opts = opts.as_slice();
+            let mut next = Vec::with_capacity(acc.len() * opts.len().max(1));
+            for partial in &acc {
+                for o in opts {
+                    let mut p = partial.clone();
+                    p.push(o.clone());
+                    next.push(p);
+                    if next.len() > self.cx.cap {
+                        return Err(TransducerError::Budget {
+                            context: "run",
+                            limit: self.cx.cap,
+                        });
+                    }
+                }
+            }
+            acc = next;
+        }
+        Ok(OutSet::from_vec(
+            acc.into_iter()
+                .map(|kids| Tree::new(ctor, label.clone(), kids))
+                .collect(),
+        ))
     }
 }

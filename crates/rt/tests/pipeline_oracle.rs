@@ -355,6 +355,89 @@ fn fig7_deforestation_chain_fuses_end_to_end() {
     }
 }
 
+/// The independent reference for Fig. 7: `map_caesar`, keep the even
+/// elements, `map_caesar`, over a plain vector.
+fn fig7_by_hand(items: &[i64]) -> Vec<i64> {
+    let caesar = |x: i64| (x + 5).rem_euclid(26);
+    items
+        .iter()
+        .map(|&x| caesar(x))
+        .filter(|x| x % 2 == 0)
+        .map(caesar)
+        .collect()
+}
+
+fn fig7_stages() -> (Arc<TreeType>, Vec<Arc<Sttr>>) {
+    let (ty, alg) = ilist();
+    let stages = vec![
+        Arc::new(map_caesar(&ty, &alg)),
+        Arc::new(filter_ev(&ty, &alg)),
+        Arc::new(map_caesar(&ty, &alg)),
+    ];
+    (ty, stages)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The Fig. 7 chain, fused and cascaded, memo on and off, computes
+    /// the hand-written map/filter/map on random lists (repeated lists
+    /// included, so the memo answers some items at their root).
+    #[test]
+    fn fig7_chain_matches_hand_written_lists(
+        lists in proptest::collection::vec(proptest::collection::vec(-40i64..40, 0..24), 1..6),
+        picks in proptest::collection::vec(0usize..6, 1..10),
+    ) {
+        let (ty, stages) = fig7_stages();
+        let batch: Vec<Vec<i64>> = picks.iter().map(|&i| lists[i % lists.len()].clone()).collect();
+        let trees: Vec<Tree> = batch.iter().map(|v| list(&ty, v)).collect();
+        let fused = Pipeline::compile(&stages);
+        prop_assert_eq!(fused.segment_count(), 1);
+        let cascaded = Pipeline::compile_with(
+            &stages,
+            &PipelineOptions { strategy: FusionStrategy::Never },
+        );
+        for p in [&fused, &cascaded] {
+            for memo in [true, false] {
+                let opts = RunOptions { memo, workers: 2, ..RunOptions::default() };
+                let (results, _) = p.run_batch_with(&trees, &opts);
+                for (v, r) in batch.iter().zip(results) {
+                    prop_assert_eq!(r.unwrap(), vec![list(&ty, &fig7_by_hand(v))]);
+                }
+            }
+        }
+    }
+}
+
+/// `RunOptions::memo = false` reaches every segment: no segment pass
+/// consults a shared memo, so each one's stats read zero hits and zero
+/// misses, on the fused chain and on the three-segment cascade alike.
+#[test]
+fn memo_off_is_honoured_by_every_segment() {
+    let (ty, stages) = fig7_stages();
+    let t = list(&ty, &[1, 2, 3, 4, 5, 6]);
+    let batch = vec![t.clone(), t];
+    for strategy in [FusionStrategy::Auto, FusionStrategy::Never] {
+        let p = Pipeline::compile_with(&stages, &PipelineOptions { strategy });
+        let off = RunOptions {
+            memo: false,
+            workers: 1,
+            ..RunOptions::default()
+        };
+        let (results, stats) = p.run_batch_with(&batch, &off);
+        assert_eq!(stats.len(), p.segment_count());
+        for s in &stats {
+            assert_eq!((s.memo_hits, s.memo_misses), (0, 0), "{strategy:?}: {s:?}");
+        }
+        for r in &results {
+            assert_eq!(r.as_ref().unwrap(), &vec![list(&ty, &[11, 13, 15])]);
+        }
+        // With the memo on, the same run does consult it.
+        let (_, stats) = p.run_batch_with(&batch, &RunOptions::default());
+        assert!(stats.iter().all(|s| s.memo_hits + s.memo_misses > 0));
+    }
+}
+
 /// `norm` over BT: *nondeterministic but single-valued*. The two leaf
 /// rules overlap at `i = 0`, but their outputs (`i` and `i * 1`) are
 /// provably equal wherever both fire.

@@ -5,6 +5,13 @@
 //! property pins that the shared memo table is semantically invisible:
 //! memo on and memo off produce identical results, even when the batch
 //! contains cloned (`Arc`-shared) items engineered to hit the memo.
+//!
+//! The generated transducers cover every shape the evaluator
+//! distinguishes: lookahead requirements of several states at once,
+//! lookahead automata past 64 states (the spilled words of the state
+//! bitset), bare `Out::Call` rules that delete a node (like Fig. 7's
+//! `filter_ev`), and overlapping rules emitting equal outputs (the
+//! deduplication of output sets).
 
 use fast_automata::{Sta, StaBuilder, StateId};
 use fast_core::{Out, Sttr, SttrBuilder, TransducerError};
@@ -68,13 +75,18 @@ fn bt_tree() -> impl Strategy<Value = Tree> {
     })
 }
 
-/// A small random lookahead STA (same shape as the root suite's
-/// `bt_sta`): per state one guarded leaf rule and one node rule pointing
-/// at random child states.
-fn bt_sta() -> impl Strategy<Value = Sta> {
-    (1usize..3).prop_flat_map(|n| {
-        let guards = proptest::collection::vec(formula(), n);
-        let kids = proptest::collection::vec((0..n, 0..n), n);
+/// A random lookahead STA over BT with `states` states: per state one
+/// guarded leaf rule and one node rule pointing at random child states
+/// (the root suite's `bt_sta` shape), about half of the children left
+/// unconstrained. Leaf guards come from `guard`.
+fn sta_over(
+    states: std::ops::Range<usize>,
+    guard: BoxedStrategy<Formula>,
+) -> impl Strategy<Value = Sta> {
+    states.prop_flat_map(move |n| {
+        let guards = proptest::collection::vec(guard.clone(), n);
+        // A child index `n` or more leaves that child unconstrained.
+        let kids = proptest::collection::vec((0..2 * n, 0..2 * n), n);
         (guards, kids).prop_map(move |(guards, kids)| {
             let (ty, alg) = bt();
             let leaf = ty.ctor_id("L").unwrap();
@@ -83,11 +95,12 @@ fn bt_sta() -> impl Strategy<Value = Sta> {
             let states: Vec<StateId> = (0..n).map(|i| b.state(&format!("l{i}"))).collect();
             for i in 0..n {
                 b.leaf_rule(states[i], leaf, guards[i].clone());
+                let kid = |k: usize| states.get(k).copied();
                 b.simple_rule(
                     states[i],
                     node,
                     Formula::True,
-                    vec![Some(states[kids[i].0]), Some(states[kids[i].1])],
+                    vec![kid(kids[i].0), kid(kids[i].1)],
                 );
             }
             b.build(states[0])
@@ -95,46 +108,73 @@ fn bt_sta() -> impl Strategy<Value = Sta> {
     })
 }
 
+/// A small lookahead STA: 1–3 states with arbitrary leaf guards.
+fn bt_sta() -> impl Strategy<Value = Sta> {
+    sta_over(1..4, formula().boxed())
+}
+
+/// A lookahead STA past 64 states, so state sets spill beyond the
+/// bitset's inline word. Leaf guards are ⊤ or a single residue test,
+/// cheap enough for the reference interpreter to run every state.
+fn wide_sta() -> impl Strategy<Value = Sta> {
+    let residue = (2i64..5, 0i64..5).prop_map(|(m, r)| {
+        Formula::cmp(CmpOp::Eq, Term::field(0).modulo(m as u32), Term::int(r % m))
+    });
+    sta_over(65..80, prop_oneof![Just(Formula::True), residue].boxed())
+}
+
 /// One generated node rule: guard, label function, the two child calls
-/// (which transformation state reads which input child), and a per-child
-/// lookahead requirement (`la_n` encodes "unconstrained").
+/// (which transformation state reads which input child), the per-child
+/// lookahead requirements, and whether the rule is a bare call to its
+/// first child (deleting the node, like Fig. 7's `filter_ev`).
 type NodeRuleSpec = (
-    Formula,
-    Term,
+    (Formula, Term),
     (usize, usize),
     (usize, usize),
-    (usize, usize),
+    (BTreeSet<usize>, BTreeSet<usize>),
+    bool,
 );
 
 /// Per-state generated rule sets, as produced by the strategies below.
 type LeafRules = Vec<Vec<(Formula, Term)>>;
 type NodeRules = Vec<Vec<NodeRuleSpec>>;
 
-/// A random STTR over BT: 1–2 transformation states, each with 1–2
-/// guarded leaf rules and 1–2 node rules (overlapping guards make the
-/// transducer nondeterministic), node rules constrained by random
-/// lookahead sets into a random STA.
-fn bt_sttr() -> impl Strategy<Value = Sttr> {
-    (1usize..3, bt_sta()).prop_flat_map(|(n, la)| {
-        let la_n = la.state_count();
+/// A random STTR over BT with lookahead automaton `la`: 1–2
+/// transformation states, each with 1–2 guarded leaf rules and 1–2 node
+/// rules (overlapping guards make the transducer nondeterministic).
+/// Node rules carry random lookahead sets of up to three states per
+/// child (empty = unconstrained), and some are bare calls. A state
+/// flagged in `dup` also gets an unguarded copy of its first node rule,
+/// so every node the original fires on yields the same output twice.
+fn sttr_with(la: Sta) -> impl Strategy<Value = Sttr> {
+    let la_n = la.state_count();
+    (1usize..3).prop_flat_map(move |n| {
+        let la = la.clone();
+        // Half the members come from the top eight states, so a wide
+        // automaton's spilled states are well represented.
+        let la_set = move || {
+            let member = prop_oneof![0..la_n, la_n.saturating_sub(8)..la_n];
+            proptest::collection::vec(member, 0..4)
+                .prop_map(|v| v.into_iter().collect::<BTreeSet<usize>>())
+        };
         let leaf_rules =
             proptest::collection::vec(proptest::collection::vec((formula(), int_term()), 1..3), n);
         let node_rules = proptest::collection::vec(
             proptest::collection::vec(
                 (
-                    formula(),
-                    int_term(),
+                    (formula(), int_term()),
                     (0..n, 0..n),
                     (0usize..2, 0usize..2),
-                    // `la_n` means "no lookahead constraint on this child".
-                    (0..=la_n, 0..=la_n),
+                    (la_set(), la_set()),
+                    (0u32..4).prop_map(|k| k == 0),
                 ),
                 1..3,
             ),
             n,
         );
-        (leaf_rules, node_rules).prop_map(
-            move |(leaf_rules, node_rules): (LeafRules, NodeRules)| {
+        let dup = proptest::collection::vec((0u32..3).prop_map(|k| k == 0), n);
+        (leaf_rules, node_rules, dup).prop_map(
+            move |(leaf_rules, node_rules, dup): (LeafRules, NodeRules, Vec<bool>)| {
                 let (ty, alg) = bt();
                 let leaf = ty.ctor_id("L").unwrap();
                 let node = ty.ctor_id("N").unwrap();
@@ -150,32 +190,43 @@ fn bt_sttr() -> impl Strategy<Value = Sttr> {
                         );
                     }
                 }
-                let la_set = |ix: usize| -> BTreeSet<StateId> {
-                    if ix == la_n {
-                        BTreeSet::new()
-                    } else {
-                        BTreeSet::from([StateId(ix)])
-                    }
+                let la_set = |ix: BTreeSet<usize>| -> BTreeSet<StateId> {
+                    ix.into_iter().map(StateId).collect()
                 };
                 for (i, rules) in node_rules.into_iter().enumerate() {
-                    for (guard, fun, (qa, qb), (ca, cb), (lx, ly)) in rules {
-                        b.rule(
-                            states[i],
-                            node,
-                            guard,
-                            vec![la_set(lx), la_set(ly)],
+                    let mut first = None;
+                    for ((guard, fun), (qa, qb), (ca, cb), (lx, ly), bare) in rules {
+                        let out = if bare {
+                            Out::Call(states[qa], ca)
+                        } else {
                             Out::node(
                                 node,
                                 LabelFn::new(vec![fun]),
                                 vec![Out::Call(states[qa], ca), Out::Call(states[qb], cb)],
-                            ),
-                        );
+                            )
+                        };
+                        let lookahead = vec![la_set(lx), la_set(ly)];
+                        first.get_or_insert_with(|| (lookahead.clone(), out.clone()));
+                        b.rule(states[i], node, guard, lookahead, out);
+                    }
+                    if let (true, Some((lookahead, out))) = (dup[i], first) {
+                        b.rule(states[i], node, Formula::True, lookahead, out);
                     }
                 }
                 b.build(states[0])
             },
         )
     })
+}
+
+/// [`sttr_with`] over a small lookahead automaton.
+fn bt_sttr() -> impl Strategy<Value = Sttr> {
+    bt_sta().prop_flat_map(sttr_with)
+}
+
+/// [`sttr_with`] over a lookahead automaton of more than 64 states.
+fn wide_sttr() -> impl Strategy<Value = Sttr> {
+    wide_sta().prop_flat_map(sttr_with)
 }
 
 /// A batch that deliberately repeats items: `picks` indexes into the
@@ -255,7 +306,106 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Lookahead automata past 64 states: the plan's spilled bitset
+    /// words agree with the reference interpreter's state sets, with the
+    /// memo on and off.
+    #[test]
+    fn wide_lookahead_agrees_with_sttr_run(s in wide_sttr(), batch in bt_batch()) {
+        prop_assert!(s.lookahead_sta().state_count() > 64);
+        let plan = Plan::compile(&s);
+        for memo in [true, false] {
+            let opts = RunOptions { memo, workers: 1, ..RunOptions::default() };
+            let (got, _) = plan.run_batch_with(&batch, &opts);
+            for (t, g) in batch.iter().zip(got) {
+                prop_assert_eq!(canon(g), canon(s.run(t)));
+            }
+        }
+    }
+}
+
 // ---------- directed batch-semantics tests ----------
+
+/// A tree type with a ternary constructor `T` and a leaf `D` that no
+/// rule of [`two_outputs`] reads.
+fn t3() -> (Arc<TreeType>, Arc<LabelAlg>) {
+    let ty = TreeType::new(
+        "T3",
+        LabelSig::single("i", Sort::Int),
+        vec![("L", 0), ("D", 0), ("N", 2), ("T", 3)],
+    );
+    let alg = Arc::new(LabelAlg::new(ty.sig().clone()));
+    (ty, alg)
+}
+
+/// Two unguarded leaf rules emitting `L[1]` and `L[2]`, and node rules
+/// combining the results of their children: a leaf has two outputs, a
+/// pair of leaves four, and `D` none.
+fn two_outputs() -> Sttr {
+    let (ty, alg) = t3();
+    let leaf = ty.ctor_id("L").unwrap();
+    let mut b = SttrBuilder::new(ty.clone(), alg);
+    let q = b.state("two");
+    for v in [1, 2] {
+        b.plain_rule(
+            q,
+            leaf,
+            Formula::True,
+            Out::node(leaf, LabelFn::new(vec![Term::int(v)]), vec![]),
+        );
+    }
+    for (name, rank) in [("N", 2), ("T", 3)] {
+        let ctor = ty.ctor_id(name).unwrap();
+        b.plain_rule(
+            q,
+            ctor,
+            Formula::True,
+            Out::node(
+                ctor,
+                LabelFn::new(vec![Term::field(0)]),
+                (0..rank).map(|i| Out::Call(q, i)).collect(),
+            ),
+        );
+    }
+    b.build(q)
+}
+
+/// The cap contract on a set of two: caps 0 and 1 fail with `Budget`,
+/// cap 2 returns both trees. A node whose product has four alternatives
+/// fails below cap 4, and so does `T(L, L, D)`, whose product is empty
+/// but whose partial product over its first two children already has
+/// four — exactly like `run_bounded`, whether the leaves' sets come from
+/// evaluation or from the memo.
+#[test]
+fn cap_below_two_outputs_errors_like_run_bounded() {
+    let s = two_outputs();
+    let plan = Plan::compile(&s);
+    let (ty, _) = t3();
+    let inputs = ["L[0]", "N[0](L[0], L[5])", "T[0](L[0], L[5], D[0])"]
+        .map(|src| Tree::parse(&ty, src).unwrap());
+    for cap in 0..6 {
+        for memo in [true, false] {
+            let opts = RunOptions {
+                cap,
+                memo,
+                workers: 1,
+                ..RunOptions::default()
+            };
+            let (got, _) = plan.run_batch_with(&inputs, &opts);
+            for (t, g) in inputs.iter().zip(got) {
+                assert_eq!(canon(g), canon(s.run_bounded(t, cap)), "{t:?}, cap {cap}");
+            }
+        }
+        let lens = inputs
+            .iter()
+            .map(|t| s.run_bounded(t, cap).ok().map(|v| v.len()))
+            .collect::<Vec<_>>();
+        let at_least = |n: usize, len: usize| (cap >= n).then_some(len);
+        assert_eq!(lens, [at_least(2, 2), at_least(4, 4), at_least(4, 0)]);
+    }
+}
 
 fn left_chain(depth: usize) -> Tree {
     let (ty, _) = bt();

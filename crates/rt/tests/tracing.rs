@@ -5,14 +5,17 @@
 //! recorded spans must reconstruct to the documented nesting
 //! `rt.run_batch` > `rt.item` > `plan.dispatch`.
 //!
-//! Both phases live in one `#[test]` (own integration-test process) so
-//! the global subscriber flag and event buffer are not raced by a
-//! sibling test.
+//! Both phases live in one `#[test]`, and every test in this file holds
+//! [`SERIAL`] while it runs batches, so the global subscriber flag and
+//! event buffer are not raced by a sibling test's spans.
 
 use fast_rt::{Plan, RunOptions};
 use fast_smt::{Label, LabelAlg, LabelSig, Sort};
 use fast_trees::{Tree, TreeType};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// Serializes the tests of this binary (they share the span buffer).
+static SERIAL: Mutex<()> = Mutex::new(());
 
 fn identity_plan() -> (Plan, Vec<Tree>) {
     let ty = TreeType::new(
@@ -38,6 +41,7 @@ fn identity_plan() -> (Plan, Vec<Tree>) {
 
 #[test]
 fn disabled_subscriber_buffers_nothing_and_enabled_spans_nest() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (plan, batch) = identity_plan();
     let opts = RunOptions {
         workers: 1,
@@ -77,6 +81,7 @@ fn disabled_subscriber_buffers_nothing_and_enabled_spans_nest() {
 
 #[test]
 fn profiled_run_attributes_rule_work() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (plan, batch) = identity_plan();
     let opts = RunOptions {
         workers: 1,
